@@ -59,11 +59,11 @@ forked processes — BFS-contiguous shards, per-round batched cross-shard
 message exchange with a barrier, merged per-shard stats — so large
 instances use all cores while staying byte-identical to ``"event"`` for
 any worker count.  ``scheduler="async"`` (:mod:`repro.congest.
-asynchronous`) drives activations on an asyncio event loop over a virtual
-clock with pluggable per-edge latencies: lockstep-equivalent under the
-default ``uniform`` model, latency-realistic (reporting
-``RoundStats.virtual_time`` and per-node completion times) under
-``seeded-jitter``/``degree-proportional``.  Per-node ``ctx.rng`` streams
+asynchronous`) runs the ``event`` backend's virtual clock
+(:mod:`repro.congest.clock`) with pluggable per-edge latencies:
+lockstep-equivalent under the default ``uniform`` model, latency-realistic
+(reporting ``RoundStats.virtual_time`` and per-node completion times)
+under ``seeded-jitter``/``degree-proportional``.  Per-node ``ctx.rng`` streams
 are derived from ``(run_seed, node_index)``, making them invariant across
 backends and worker counts.
 """

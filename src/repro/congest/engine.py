@@ -36,17 +36,19 @@ activation on the degrade backends in :func:`checked_spurious_wake`.
 Backends register themselves here (:func:`register_backend`), mirroring
 the :mod:`repro.core.providers` registry: an unknown scheduler name fails
 with a message listing every registered backend, uniformly at every API
-boundary. The in-process backends live in this module (``event``,
-``dense``); the multi-process ``sharded`` backend lives in
-:mod:`repro.congest.sharded` and the latency-realistic asyncio backend in
-:mod:`repro.congest.asynchronous`.
+boundary. The ``event`` and ``dense`` backends live in this module; the
+multi-process ``sharded`` backend lives in :mod:`repro.congest.sharded`
+and the latency-realistic ``async`` backend in
+:mod:`repro.congest.asynchronous`. ``event``, ``async``, the job layer
+and the vectorized backend's interpreted tier all run on the one
+:class:`~repro.congest.clock.VirtualClock`.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 
+from repro.congest.clock import VirtualClock
 from repro.congest.stats import RoundStats
 from repro.util.bitsize import payload_bits
 from repro.util.errors import CongestViolation
@@ -315,7 +317,7 @@ class MessageFabric:
 
         Each message sent at tick ``now`` arrives at ``now + latency(edge)``
         (one tick per edge without a latency table). Staged entries are
-        ``(sender_index, sender, payload)`` tuples; the activating backend
+        ``(sender_index, sender, payload)`` tuples; the virtual clock
         sorts each inbox by sender index, reproducing the canonical
         insertion order regardless of send times. Returns the arrival times
         whose buckets this call created, so the caller can extend its wake
@@ -446,142 +448,45 @@ class SchedulerBackend:
         raise NotImplementedError
 
 
-class _InProcessBackend(SchedulerBackend):
-    """Shared run scaffolding for the single-process backends."""
-
-    def execute(self, net, algorithms, run_seed, max_rounds, raise_on_timeout):
-        nodes = net._nodes
-        stats = RoundStats()
-        fabric = MessageFabric(
-            net._neighbor_sets, net.bandwidth_bits, net.enforce_bandwidth, stats
-        )
-        contexts = {
-            v: NodeContext(
-                v, net._neighbors[v], len(nodes), derive_node_rng(run_seed, i)
-            )
-            for i, v in enumerate(nodes)
-        }
-        # Initial sends (round 0): inboxes are allocated lazily — only
-        # receivers get a dict — and the active set seeds round 1.
-        inboxes: dict[int, dict[int, object]] = {}
-        active: set = set()
-        for v in nodes:
-            ctx = contexts[v]
-            outbox = algorithms[v].on_start(ctx) or {}
-            if outbox:
-                fabric.deliver(v, outbox, inboxes, active, 0)
-            if ctx._keep_alive:
-                active.add(v)
-        self._loop(
-            net, algorithms, contexts, fabric, inboxes, active, stats,
-            max_rounds, raise_on_timeout,
-        )
-        results = {v: algorithms[v].result() for v in nodes}
-        return results, stats
-
-    def _loop(
-        self, net, algorithms, contexts, fabric, inboxes, active, stats,
-        max_rounds, raise_on_timeout,
-    ) -> None:
-        raise NotImplementedError
+def _node_contexts(net, run_seed: int) -> dict:
+    """One :class:`NodeContext` per node, rng derived from its index."""
+    nodes = net._nodes
+    return {
+        v: NodeContext(v, net._neighbors[v], len(nodes), derive_node_rng(run_seed, i))
+        for i, v in enumerate(nodes)
+    }
 
 
-class EventBackend(_InProcessBackend):
+class EventBackend(SchedulerBackend):
     """The event-driven *active-set* scheduler (default).
 
-    Per round, only nodes with a non-empty inbox, a raised keep-alive
-    latch, or a due :meth:`NodeContext.schedule_wake` timer are activated
-    (via ``on_wake``); quiescence falls out of an empty active set and an
-    empty timer wheel. Total activations are ``O(total messages +
-    keep-alives + timer fires)`` instead of the lockstep ``O(n * rounds)``.
-    When only timers remain, the clock fast-forwards to the earliest one —
-    the skipped rounds are empty under every backend, so round counts,
-    messages, and results stay byte-identical to ``dense``; only
-    activations differ.
+    The :class:`~repro.congest.clock.VirtualClock` at unit latency: per
+    round, only nodes with a non-empty inbox, a raised keep-alive latch,
+    or a due :meth:`NodeContext.schedule_wake` timer are activated (via
+    ``on_wake``); quiescence falls out of an empty schedule. Total
+    activations are ``O(total messages + keep-alives + timer fires)``
+    instead of the lockstep ``O(n * rounds)``. When only timers remain,
+    the clock fast-forwards to the earliest one — the skipped rounds are
+    empty under every backend, so round counts, messages, and results stay
+    byte-identical to ``dense``; only activations differ.
     """
 
     name = "event"
 
-    def _loop(
-        self, net, algorithms, contexts, fabric, inboxes, active, stats,
-        max_rounds, raise_on_timeout,
-    ) -> None:
-        sort_key = net._index.__getitem__
-        # Timer wheel: wake round -> nodes armed for it, plus a heap of the
-        # bucketed rounds. Entries are validated lazily at fire time
-        # against ctx._wake_at (re-arming to an earlier round leaves a
-        # stale entry behind; an early fire cleared the context already).
-        timers: dict[int, set] = {}
-        timer_heap: list[int] = []
-
-        def arm(v, ctx) -> None:
-            wake = ctx._wake_at
-            if wake is not None:
-                bucket = timers.get(wake)
-                if bucket is None:
-                    bucket = timers[wake] = set()
-                    heapq.heappush(timer_heap, wake)
-                bucket.add(v)
-
-        for v, ctx in contexts.items():  # timers armed during on_start
-            arm(v, ctx)
-        round_no = 0
-        while True:
-            # Drop timer buckets whose every entry went stale, so both the
-            # quiescence check and the fast-forward target see live wakes.
-            while timer_heap:
-                tick = timer_heap[0]
-                bucket = timers.get(tick)
-                if bucket and any(contexts[v]._wake_at == tick for v in bucket):
-                    break
-                timers.pop(tick, None)
-                heapq.heappop(timer_heap)
-            if not active and not timer_heap:
-                break
-            # Messages and keep-alive latches wake next round; with nothing
-            # else pending the clock fast-forwards to the earliest timer.
-            next_round = round_no + 1 if active else timer_heap[0]
-            if next_round > max_rounds:
-                # Work remains past the bound. stats.rounds reports the
-                # bound itself, matching the dense loop (which executes the
-                # empty rounds a fast-forward skips).
-                if raise_on_timeout:
-                    raise CongestViolation(
-                        f"execution did not quiesce within {max_rounds} rounds"
-                    )
-                stats.rounds = max_rounds
-                break
-            round_no = next_round
-            stats.rounds = round_no
-            current = set(active)
-            while timer_heap and timer_heap[0] == round_no:
-                heapq.heappop(timer_heap)
-            for v in timers.pop(round_no, ()):
-                if contexts[v]._wake_at == round_no:
-                    current.add(v)
-            current_inboxes = inboxes
-            inboxes = {}
-            active = set()
-            # Activation order follows the graph's node order so inbox
-            # insertion order — observable by algorithms — matches the
-            # dense scheduler byte for byte.
-            for v in sorted(current, key=sort_key):
-                ctx = contexts[v]
-                ctx.round = round_no
-                ctx._keep_alive = False
-                if ctx._wake_at is not None and ctx._wake_at <= round_no:
-                    ctx._wake_at = None  # the timer fires with this wake
-                inbox = current_inboxes.get(v) or {}
-                outbox = algorithms[v].on_wake(ctx, inbox) or {}
-                stats.activations += 1
-                if outbox:
-                    fabric.deliver(v, outbox, inboxes, active, round_no)
-                if ctx._keep_alive:
-                    active.add(v)
-                arm(v, ctx)
+    def execute(self, net, algorithms, run_seed, max_rounds, raise_on_timeout):
+        stats = RoundStats()
+        fabric = MessageFabric(
+            net._neighbor_sets, net.bandwidth_bits, net.enforce_bandwidth, stats
+        )
+        clock = VirtualClock(
+            net._index, _node_contexts(net, run_seed), algorithms, fabric,
+            stats, max_rounds, raise_on_timeout,
+        )
+        clock.run(net._nodes)
+        return {v: algorithms[v].result() for v in net._nodes}, stats
 
 
-class DenseBackend(_InProcessBackend):
+class DenseBackend(SchedulerBackend):
     """The seed lockstep loop: ``on_round`` on every node every round.
 
     Kept as the reference semantics for equivalence testing and for exotic
@@ -595,13 +500,25 @@ class DenseBackend(_InProcessBackend):
 
     name = "dense"
 
-    def _loop(
-        self, net, algorithms, contexts, fabric, inboxes, active, stats,
-        max_rounds, raise_on_timeout,
-    ) -> None:
+    def execute(self, net, algorithms, run_seed, max_rounds, raise_on_timeout):
         nodes = net._nodes
         sanitize = getattr(net, "sanitize", False)
-        active |= {v for v in nodes if contexts[v]._wake_at is not None}
+        stats = RoundStats()
+        fabric = MessageFabric(
+            net._neighbor_sets, net.bandwidth_bits, net.enforce_bandwidth, stats
+        )
+        contexts = _node_contexts(net, run_seed)
+        # Round 0: inboxes are allocated lazily — only receivers get a
+        # dict — and the active set keeps the run going.
+        inboxes: dict[int, dict[int, object]] = {}
+        active: set = set()
+        for v in nodes:
+            ctx = contexts[v]
+            outbox = algorithms[v].on_start(ctx) or {}
+            if outbox:
+                fabric.deliver(v, outbox, inboxes, active, 0)
+            if ctx._keep_alive or ctx._wake_at is not None:
+                active.add(v)
         round_no = 0
         while active:
             if round_no >= max_rounds:
@@ -641,6 +558,7 @@ class DenseBackend(_InProcessBackend):
                     fabric.deliver(v, outbox, inboxes, active, round_no)
                 if ctx._keep_alive or ctx._wake_at is not None:
                     active.add(v)
+        return {v: algorithms[v].result() for v in nodes}, stats
 
 
 register_backend(EventBackend)

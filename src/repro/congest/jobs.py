@@ -27,8 +27,9 @@ populations — over a single virtual-time execution:
 **Solo identity.** A job running alone is never arbitrated against (a
 node activates at most once per tick and emits at most one message per
 neighbor, so a single job submits at most one message per directed edge
-per tick — every send is granted at its send tick). The driver replicates
-the ``event``/``async`` backend semantics tick for tick, so a solo
+per tick — every send is granted at its send tick). Each job runs on the
+same :class:`~repro.congest.clock.VirtualClock` as the ``event``/``async``
+backends, in job-local ticks, so a solo
 full-population job produces byte-identical results *and* RoundStats to a
 direct ``SyncNetwork`` run with the same rng — the contract
 ``tests/congest/test_jobs.py`` pins on both backends. A solo *scoped* job
@@ -60,7 +61,6 @@ on top of this driver.
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from collections import deque
@@ -70,6 +70,7 @@ from dataclasses import dataclass, field
 import networkx as nx
 
 from repro.congest.asynchronous import resolve_latency_model
+from repro.congest.clock import VirtualClock
 from repro.congest.engine import MessageFabric, NodeContext
 from repro.congest.network import BANDWIDTH_FACTOR
 from repro.congest.node import NodeAlgorithm
@@ -193,23 +194,20 @@ class ScheduleResult:
 class _JobState:
     """Driver-internal execution state of one admitted population job."""
 
-    __slots__ = (
-        "job", "slot", "offset", "nodes", "index", "contexts", "fabric",
-        "stats", "latencies", "arrivals", "latched", "timers", "scheduled",
-        "pending", "timed_out",
-    )
+    __slots__ = ("job", "slot", "offset", "nodes", "stats", "latencies", "clock", "pending")
 
     def __init__(self, job: Job, slot: int, offset: int):
         self.job = job
         self.slot = slot
         self.offset = offset  # global tick of the job's local tick 0
         self.stats = RoundStats()
-        self.arrivals: dict[int, dict[int, list]] = {}
-        self.latched: dict[int, list[int]] = {}
-        self.timers: dict[int, set[int]] = {}
-        self.scheduled: set[int] = set()  # job-local ticks in the heap
+        self.clock: VirtualClock | None = None  # job-local ticks
         self.pending = 0  # messages queued in the arbiter
-        self.timed_out = False
+
+    def next_tick(self) -> int | None:
+        """The global tick of the job's next live work, if any."""
+        tick = self.clock.next_tick()
+        return None if tick is None else self.offset + tick
 
 
 class EdgeArbiter:
@@ -237,23 +235,24 @@ class EdgeArbiter:
         self.stalls = 0
         self.total_pending = 0
         self._states: dict[str, _JobState] = {}
-        # Edge iteration order for resolve/drop. Grants on different edges
-        # are independent (per-edge capacity, per-edge rr pointers, summed
-        # stats), so the order is behavior-neutral for static latencies —
-        # but under a load-dependent model the shared LinkSchedule charges
-        # transits in grant order, so the scheduler pins a global
-        # node-*index* order to match the direct backends' activation
-        # order (the solo-identity contract).
-        self.sort_key: Callable[[tuple], tuple] = _edge_sort_key
+        self._index: dict = {}
 
-    def bind(
-        self,
-        states: dict[str, _JobState],
-        sort_key: Callable[[tuple], tuple] | None = None,
-    ) -> None:
+    def bind(self, states: dict[str, _JobState], index: dict) -> None:
+        """Attach the running jobs and the shared graph's node index.
+
+        Edges resolve in global node-*index* order. Grants on different
+        edges are independent (per-edge capacity, per-edge rr pointers,
+        summed stats), but under a load-dependent model the shared
+        LinkSchedule charges transits in grant order, so this order must
+        match the direct backends' activation order (the solo-identity
+        contract).
+        """
         self._states = states
-        if sort_key is not None:
-            self.sort_key = sort_key
+        self._index = index
+
+    def _edges(self) -> list[tuple]:
+        index = self._index
+        return sorted(self.pending, key=lambda edge: (index[edge[0]], index[edge[1]]))
 
     def submit(self, fabric, sender, sender_index, target, payload, bits) -> None:
         """Queue one validated send (called from ``MessageFabric``)."""
@@ -268,7 +267,7 @@ class EdgeArbiter:
 
     def drop(self, state: _JobState) -> None:
         """Forget a timed-out job's queued sends."""
-        for edge in sorted(self.pending, key=self.sort_key):
+        for edge in self._edges():
             per_slot = self.pending[edge]
             queue = per_slot.pop(state.slot, None)
             if queue:
@@ -288,7 +287,7 @@ class EdgeArbiter:
         """
         if not self.pending:
             return False
-        for edge in sorted(self.pending, key=self.sort_key):
+        for edge in self._edges():
             per_slot = self.pending[edge]
             granted = 0
             while granted < self.capacity and per_slot:
@@ -314,10 +313,6 @@ class EdgeArbiter:
         return bool(self.pending)
 
 
-def _edge_sort_key(edge: tuple) -> tuple:
-    return edge
-
-
 class JobScheduler:
     """Multiplex N jobs over one shared graph with fair edge arbitration.
 
@@ -325,8 +320,8 @@ class JobScheduler:
         graph: the shared communication topology.
         scheduler: execution mode — ``"event"`` (unit latency, active-set
             schedule; the default) or ``"async"`` (per-edge latencies and
-            the wall-model stats dimension). Each mode replicates its
-            namesake backend tick for tick, so a solo job is
+            the wall-model stats dimension). Each mode runs its namesake
+            backend's virtual clock, so a solo job is
             byte-identical to a direct ``SyncNetwork`` run.
         latency_model: per-edge latency model, ``"async"`` mode only.
             Static models build a latency table per job from the job's
@@ -405,7 +400,6 @@ class JobScheduler:
         self._next_slot += 1
         nodes = self._population(job)
         state.nodes = nodes
-        state.index = {v: i for i, v in enumerate(nodes)}
         # One draw per job, exactly as SyncNetwork.run draws its run seed.
         run_seed = ensure_rng(job.rng).randrange(2**62)
         if len(nodes) == len(self._nodes):
@@ -432,30 +426,27 @@ class JobScheduler:
             bandwidth = BANDWIDTH_FACTOR * max(
                 1, math.ceil(math.log2(max(len(nodes), 2)))
             )
-        state.fabric = MessageFabric(
+        fabric = MessageFabric(
             neighbor_sets, bandwidth, self.enforce_bandwidth, state.stats,
             latencies=state.latencies, job_id=job.job_id, arbiter=self._arbiter,
         )
-        state.contexts = {
+        contexts = {
             v: NodeContext(
                 v, neighbors[v], len(nodes), derive_node_rng(run_seed, i)
             )
             for i, v in enumerate(nodes)
         }
+        state.clock = VirtualClock(
+            {v: i for i, v in enumerate(nodes)}, contexts, job.algorithms,
+            fabric, state.stats, job.max_rounds, job.raise_on_timeout,
+            wall_model=self.scheduler == "async", label=f"job {job.job_id!r}: ",
+        )
         self._states[job.job_id] = state
         self._running.append(state)
         # Local tick 0: on_start on every population node, by definition.
-        for v in nodes:
-            ctx = state.contexts[v]
-            outbox = job.algorithms[v].on_start(ctx) or {}
-            if outbox:
-                state.fabric.deliver_timed(v, state.index[v], outbox, state.arrivals, 0)
-            if ctx._keep_alive:
-                state.latched.setdefault(1, []).append(v)
-                self._schedule(state, 1)
-            self._arm_timer(state, v, ctx)
+        state.clock.start(nodes)
         if self._arbiter.total_pending:
-            self._wake_global(offset)
+            self._wake_arbiter(offset)
         return state
 
     def _admit_from_queue(self, offset: int) -> None:
@@ -472,20 +463,16 @@ class JobScheduler:
     # The tick loop
     # ------------------------------------------------------------------
 
-    def _schedule(self, state: _JobState, rel_tick: int) -> None:
-        state.scheduled.add(rel_tick)
-        self._wake_global(state.offset + rel_tick)
+    def _wake_arbiter(self, tick: int) -> None:
+        if self._resolve_at is None or tick < self._resolve_at:
+            self._resolve_at = tick
 
-    def _wake_global(self, tick: int) -> None:
-        if tick not in self._in_heap:
-            self._in_heap.add(tick)
-            heapq.heappush(self._heap, tick)
-
-    def _arm_timer(self, state: _JobState, v, ctx) -> None:
-        wake = ctx._wake_at
-        if wake is not None:
-            state.timers.setdefault(wake, set()).add(v)
-            self._schedule(state, wake)
+    def _next_tick(self) -> int | None:
+        """The earliest global tick with live job work or queued sends."""
+        ticks = [tick for state in self._running if (tick := state.next_tick()) is not None]
+        if self._arbiter.total_pending:
+            ticks.append(self._resolve_at)
+        return min(ticks, default=None)
 
     def _stage(self, state, sender_index, sender, target, payload, bits, now) -> None:
         """Stage one granted message: charge stats, bucket the arrival.
@@ -509,77 +496,8 @@ class JobScheduler:
             arrive = rel + self._link_schedule.transit(sender, target, now)
         else:
             arrive = rel + (state.latencies[(sender, target)] if state.latencies else 1)
-        bucket = state.arrivals.setdefault(arrive, {})
-        bucket.setdefault(target, []).append((sender_index, sender, payload))
+        state.clock.stage(arrive, target, sender_index, sender, payload)
         state.stats.record_message(sender, target, bits, rel)
-        self._schedule(state, arrive)
-
-    def _tick(self, state: _JobState, now: int) -> bool:
-        """Run one job's activations at global tick ``now``.
-
-        Returns True when the job executed a (non-stale) round.
-        """
-        rel = now - state.offset
-        if rel not in state.scheduled:
-            return False
-        state.scheduled.discard(rel)
-        bucket = state.arrivals.pop(rel, None) or {}
-        latch_bucket = state.latched.pop(rel, None) or ()
-        due = [
-            v for v in state.timers.pop(rel, ())
-            if state.contexts[v]._wake_at == rel
-        ]
-        current = sorted(
-            bucket.keys() | set(latch_bucket) | set(due),
-            key=state.index.__getitem__,
-        )
-        if not current:
-            # Every entry at this tick went stale (timers re-armed
-            # earlier); it is not a round.
-            return False
-        job = state.job
-        if rel > job.max_rounds:
-            if job.raise_on_timeout:
-                raise CongestViolation(
-                    f"job {job.job_id!r}: execution did not quiesce within "
-                    f"{job.max_rounds} rounds"
-                )
-            state.stats.rounds = job.max_rounds
-            state.timed_out = True
-            state.scheduled.clear()
-            state.arrivals.clear()
-            state.latched.clear()
-            state.timers.clear()
-            self._arbiter.drop(state)
-            return True
-        state.stats.rounds = rel
-        for v in current:
-            self._activate(state, v, rel, bucket.get(v))
-        return True
-
-    def _activate(self, state: _JobState, v, rel: int, entries) -> None:
-        ctx = state.contexts[v]
-        ctx.round = rel
-        ctx._keep_alive = False
-        if ctx._wake_at is not None and ctx._wake_at <= rel:
-            ctx._wake_at = None  # the timer fires with this wake
-        if entries:
-            # Sender-index order: canonical inbox insertion order, no
-            # matter when each message was granted.
-            entries.sort()
-            inbox = {sender: payload for _, sender, payload in entries}
-        else:
-            inbox = {}
-        outbox = state.job.algorithms[v].on_wake(ctx, inbox) or {}
-        state.stats.activations += 1
-        if self.scheduler == "async":
-            state.stats.completion_times[v] = rel
-        if outbox:
-            state.fabric.deliver_timed(v, state.index[v], outbox, state.arrivals, rel)
-        if ctx._keep_alive:
-            state.latched.setdefault(rel + 1, []).append(v)
-            self._schedule(state, rel + 1)
-        self._arm_timer(state, v, ctx)
 
     # ------------------------------------------------------------------
     # Completion
@@ -605,8 +523,6 @@ class JobScheduler:
 
     def _complete(self, state: _JobState, now: int) -> None:
         job = state.job
-        if self.scheduler == "async":
-            state.stats.virtual_time = state.stats.rounds
         results = {v: job.algorithms[v].result() for v in state.nodes}
         self._finish(
             JobOutcome(
@@ -615,7 +531,7 @@ class JobScheduler:
                 stats=state.stats,
                 admitted_tick=state.offset,
                 completed_tick=now,
-                status="timeout" if state.timed_out else "completed",
+                status="timeout" if state.clock.timed_out else "completed",
             ),
             job,
         )
@@ -633,7 +549,7 @@ class JobScheduler:
     def _reap(self, now: int) -> None:
         finished = [
             state for state in self._running
-            if not state.scheduled and state.pending == 0
+            if state.pending == 0 and state.clock.next_tick() is None
         ]
         for state in finished:
             self._complete(state, now)
@@ -678,11 +594,7 @@ class JobScheduler:
         }
         self._arbiter = EdgeArbiter(self.capacity)
         self._states: dict[str, _JobState] = {}
-        gindex = self._gindex
-        self._arbiter.bind(
-            self._states,
-            sort_key=lambda edge: (gindex[edge[0]], gindex[edge[1]]),
-        )
+        self._arbiter.bind(self._states, self._gindex)
         # One link schedule per run, shared by every tenant (global
         # ticks): load-dependent transit is a property of the physical
         # link, so concurrent jobs on a link slow each other down.
@@ -694,28 +606,33 @@ class JobScheduler:
         self._running: list[_JobState] = []
         self._queue: deque[Job] = deque(jobs)
         self._outcomes: dict[str, JobOutcome] = {}
-        self._heap: list[int] = []
-        self._in_heap: set[int] = set()
+        self._resolve_at: int | None = None  # next arbiter resolution
         self._next_slot = 0
         self._last_activity = 0
         self._on_complete = on_complete
 
         self._admit_from_queue(0)
         self._reap(0)
-        while self._heap or self._queue:
-            if not self._heap:
+        while True:
+            now = self._next_tick()
+            if now is None:
+                if not self._queue:
+                    break
                 # Running jobs all quiesced exactly at the last tick and
                 # freed their slots; admit the queue at the next tick.
                 self._admit_from_queue(self._last_activity + 1)
                 self._reap(self._last_activity + 1)
                 continue
-            now = heapq.heappop(self._heap)
-            self._in_heap.discard(now)
             busy = False
             for state in list(self._running):
-                busy = self._tick(state, now) or busy
+                if state.next_tick() == now:
+                    state.clock.step(now - state.offset)
+                    if state.clock.timed_out:
+                        self._arbiter.drop(state)
+                    busy = True
+            self._resolve_at = None
             if self._arbiter.resolve(now, self._stage):
-                self._wake_global(now + 1)
+                self._wake_arbiter(now + 1)
                 busy = True
             if busy:
                 self._last_activity = max(self._last_activity, now)

@@ -25,10 +25,10 @@ backend enforces them identically. Five backends are registered:
   with a non-empty inbox, a raised keep-alive latch, or a due
   ``ctx.schedule_wake`` timer are activated (via
   :meth:`~repro.congest.node.NodeAlgorithm.on_wake`, which defaults to
-  ``on_round``); quiescence falls out of an empty active set and timer
-  wheel, and the clock fast-forwards over all-idle rounds. Total node
-  activations are ``O(total messages + keep-alives + timer fires)``
-  instead of ``O(n * rounds)``.
+  ``on_round``); quiescence falls out of an empty schedule, and the
+  :class:`~repro.congest.clock.VirtualClock` fast-forwards over all-idle
+  rounds. Total node activations are ``O(total messages + keep-alives +
+  timer fires)`` instead of ``O(n * rounds)``.
 * ``"dense"`` — the seed lockstep loop
   (:class:`~repro.congest.engine.DenseBackend`): ``on_round`` on every node
   every round. The reference semantics for equivalence testing. Scheduled
@@ -44,9 +44,9 @@ backend enforces them identically. Five backends are registered:
   router. Per-shard :class:`~repro.congest.stats.RoundStats` are merged
   (rounds max, counters sum) at the end. Pass ``workers=`` to pin the
   process count.
-* ``"async"`` — the latency-realistic asyncio backend
-  (:class:`~repro.congest.asynchronous.AsyncBackend`): node activations are
-  driven on an asyncio event loop over a virtual clock with pluggable
+* ``"async"`` — the latency-realistic backend
+  (:class:`~repro.congest.asynchronous.AsyncBackend`): the ``event``
+  backend's :class:`~repro.congest.clock.VirtualClock` with pluggable
   per-edge latencies (``latency_model=``). Under the default ``uniform``
   model it is lockstep-equivalent (byte-identical to ``event``); under a
   non-uniform model it reports the ``RoundStats`` wall-model dimension
@@ -106,8 +106,6 @@ __all__ = [
     "SyncNetwork",
     "NodeContext",
     "BANDWIDTH_FACTOR",
-    "SCHEDULERS",
-    "BACKENDS",
     "validate_scheduler",
 ]
 
@@ -115,12 +113,6 @@ __all__ = [
 # constant number of node ids / counters per message, as used by every
 # algorithm in this library, fits comfortably.
 BANDWIDTH_FACTOR = 8
-
-# Back-compat views of the engine registry (importing the backend modules
-# above is what populates it); SCHEDULERS is the stable name tuple used in
-# argument validation.
-BACKENDS = {name: get_backend(name) for name in available_schedulers()}
-SCHEDULERS = tuple(available_schedulers())
 
 
 def validate_scheduler(
@@ -182,7 +174,7 @@ class SyncNetwork:
             node's ``ctx.rng`` stream from ``(run_seed, node_index)``.
         scheduler: ``"event"`` (active-set, default), ``"dense"``
             (lockstep reference), ``"sharded"`` (multi-process),
-            ``"async"`` (latency-realistic asyncio), or ``"vectorized"``
+            ``"async"`` (latency-realistic virtual clock), or ``"vectorized"``
             (columnar numpy, requires the ``repro[vectorized]`` extra);
             see the module docstring.
         workers: process count for the sharded backend (default:

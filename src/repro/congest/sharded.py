@@ -42,15 +42,12 @@ from __future__ import annotations
 import multiprocessing
 import os
 
-# Direct backend-class import allowed here: the event loop is this
-# backend's documented fallback where fork is unavailable (TID251 bans it
-# everywhere outside repro.congest).
-from repro.congest.engine import EventBackend  # noqa: TID251
 from repro.congest.engine import (
     MessageFabric,
     NodeContext,
     SchedulerBackend,
     checked_spurious_wake,
+    get_backend,
     register_backend,
 )
 from repro.congest.stats import RoundStats
@@ -77,7 +74,7 @@ class ShardedBackend(SchedulerBackend):
             # Backends are observably identical by contract, so the
             # single-process event loop is a faithful stand-in where fork
             # (hence pickle-free worker state) is unavailable.
-            return EventBackend().execute(
+            return get_backend("event")().execute(
                 net, algorithms, run_seed, max_rounds, raise_on_timeout
             )
         workers = net.workers if net.workers is not None else default_worker_count()

@@ -60,10 +60,10 @@ Determinism and byte-identity
 Per-node RNG streams remain derived from ``(run_seed, node_index)``
 (:meth:`VectorFabric.node_rng`); CSR rows are sorted by neighbor index
 so gathers reproduce sender-index inbox order; kernel receivers count
-one activation per round exactly like event-backend wakes; timeouts,
-fast-forward over timer-only stretches, and quiescence replicate the
-event loop. The five-backend equivalence suite
-(``tests/congest/test_scheduler.py``) enforces identical results and
+one activation per round exactly like event-backend wakes; the
+interpreted tier, timeouts, fast-forward over timer-only stretches, and
+quiescence run on the event backend's virtual clock. The five-backend
+equivalence suite (``tests/congest/test_scheduler.py``) enforces identical results and
 stats against dense/event/sharded/async for every tested seed.
 
 Requires numpy (the ``repro[vectorized]`` extra). Without it this module
@@ -74,8 +74,7 @@ unknown-scheduler error.
 
 from __future__ import annotations
 
-import heapq
-
+from repro.congest.clock import VirtualClock
 from repro.congest.engine import (
     MessageFabric,
     NodeContext,
@@ -262,7 +261,7 @@ class VectorFabric:
     __slots__ = (
         "np", "csr", "n", "ids", "round", "stats", "run_seed",
         "bandwidth_bits", "enforce_bandwidth", "_owner", "_staged",
-        "_edge_counts", "_interp_pending", "_has_interp",
+        "_edge_counts", "_clock", "_has_interp",
     )
 
     def __init__(self, csr, owner, stats, run_seed, bandwidth_bits,
@@ -279,7 +278,7 @@ class VectorFabric:
         self._owner = owner
         self._staged: list[_Batch] = []
         self._edge_counts = np.zeros(len(csr.indices), dtype=np.int64)
-        self._interp_pending: dict = {}
+        self._clock: VirtualClock | None = None  # the interpreted tier's
         # Pure-kernel runs (no interpreted tier) skip the per-emit
         # owner-split entirely.
         self._has_interp = has_interp
@@ -451,7 +450,7 @@ class VectorFabric:
                          materialize) -> None:
         """Materialize kernel emissions bound for interpreted-tier inboxes."""
         nodes = self.csr.nodes
-        pending = self._interp_pending
+        arrive = self.round + 1
         for j, (s, d) in enumerate(zip(src.tolist(), dst.tolist())):
             if objs is not None:
                 item = objs[j]
@@ -465,7 +464,7 @@ class VectorFabric:
                     f"node {nodes[d]} has no materializer; pass objs=, "
                     "payload=, or materialize= to emit()"
                 )
-            pending.setdefault(nodes[d], []).append((s, nodes[s], item))
+            self._clock.stage(arrive, nodes[d], s, nodes[s], item)
 
     def flush_edge_counts(self) -> None:
         """Fold the per-slot send counters into ``stats.edge_messages``."""
@@ -613,18 +612,60 @@ def _build_inbox(batches, ingested, owner, slot, whole=False):
     )
 
 
+class _TierFabric(MessageFabric):
+    """The interpreted tier's fabric: kernel-bound sends go to the kernel.
+
+    Sends between interpreted nodes stage exactly as on ``event``; a send
+    to a kernel-claimed node is charged the same way, then converted by
+    the kernel's :meth:`VectorKernel.ingest` into ``ingested[slot]`` for
+    next round's gather.
+    """
+
+    __slots__ = ("index", "owner", "kernels", "ingested")
+
+    def __init__(self, net, stats, index, owner, kernels):
+        super().__init__(
+            net._neighbor_sets, net.bandwidth_bits, net.enforce_bandwidth, stats
+        )
+        self.index, self.owner, self.kernels = index, owner, kernels
+        self.ingested = [[] for _ in kernels]  # kernel slot -> entries
+
+    def deliver(self, sender, outbox, inboxes, active, round_no):
+        stats, index, owner = self.stats, self.index, self.owner
+        for target, item in outbox.items():
+            bits = self.validate(sender, target, item)
+            stats.record_message(sender, target, bits, round_no)
+            slot = int(owner[index[target]])
+            if slot < 0:
+                inbox = inboxes.get(target)
+                if inbox is None:
+                    inbox = inboxes[target] = {}
+                    active.add(target)
+                inbox[sender] = item
+                continue
+            kernel = self.kernels[slot][0]
+            if kernel.inert_after_start:
+                raise CongestViolation(
+                    f"node {sender} messaged {target}, which is claimed "
+                    f"by the inert {type(kernel).__name__} kernel and "
+                    "can no longer receive"
+                )
+            tag, value = kernel.ingest(item)
+            self.ingested[slot].append((index[sender], index[target], tag, value))
+
+
 class VectorizedBackend(SchedulerBackend):
     """Columnar gather -> apply -> scatter execution over a CSR adjacency.
 
     Kernel-claimed nodes execute as whole-round array passes; unclaimed
-    nodes run the event activation rule (active set, keep-alive latches,
-    timer wheel with fast-forward) in the same round loop, exchanging
-    messages with the kernel tier at round boundaries. ``workers=`` is a
-    documented no-op (single-process); ``sanitize=`` has nothing to check
-    here (no spurious wakes are ever generated, as on ``event``). Runs
-    whose algorithms carry no kernel delegate to the event backend with a
-    provenance note in ``stats.notes`` — see the module docstring for the
-    full policy.
+    nodes run on the :class:`~repro.congest.clock.VirtualClock` at unit
+    latency (the ``event`` activation rule) in the same round loop,
+    exchanging messages with the kernel tier at round boundaries.
+    ``workers=`` is a documented no-op (single-process); ``sanitize=`` has
+    nothing to check here (no spurious wakes are ever generated, as on
+    ``event``). Runs whose algorithms carry no kernel delegate to the
+    event backend with a provenance note in ``stats.notes`` — see the
+    module docstring for the full policy.
     """
 
     name = "vectorized"
@@ -656,16 +697,10 @@ class VectorizedBackend(SchedulerBackend):
         # the whole interpreted tier: no MessageFabric, no per-node
         # contexts, no adjacency-dict materialization.
         whole = len(kernels) == 1 and not interpreted
-        fabric = contexts = None
+        fabric = None
+        contexts = {}
         if interpreted:
-            fabric = MessageFabric(
-                net._neighbor_sets, net.bandwidth_bits,
-                net.enforce_bandwidth, stats,
-            )
-            # Interpreted-tier state: event-backend semantics over the
-            # unclaimed nodes (the kernel tier has no keep-alive or
-            # timers by contract, so the wheel only ever holds
-            # interpreted nodes).
+            fabric = _TierFabric(net, stats, index, owner, kernels)
             contexts = {
                 nodes[i]: NodeContext(
                     nodes[i], net._neighbors[nodes[i]], csr.n,
@@ -673,44 +708,12 @@ class VectorizedBackend(SchedulerBackend):
                 )
                 for i in interpreted
             }
-        next_pending: dict = {}  # interpreted deliveries for the next round
-        next_ingested = [[] for _ in kernels]  # interpreted -> kernel traffic
-        latched: set = set()
-        timers: dict[int, set] = {}
-        timer_heap: list[int] = []
-        ops._interp_pending = next_pending
-
-        def arm(v, ctx) -> None:
-            wake = ctx._wake_at
-            if wake is not None:
-                bucket = timers.get(wake)
-                if bucket is None:
-                    bucket = timers[wake] = set()
-                    heapq.heappush(timer_heap, wake)
-                bucket.add(v)
-
-        def stage_interp(sender, outbox, round_no) -> None:
-            sender_index = index[sender]
-            for target, item in outbox.items():
-                bits = fabric.validate(sender, target, item)
-                stats.record_message(sender, target, bits, round_no)
-                target_slot = int(owner[index[target]])
-                if target_slot < 0:
-                    next_pending.setdefault(target, []).append(
-                        (sender_index, sender, item)
-                    )
-                    continue
-                kernel = kernels[target_slot][0]
-                if kernel.inert_after_start:
-                    raise CongestViolation(
-                        f"node {sender} messaged {target}, which is claimed "
-                        f"by the inert {type(kernel).__name__} kernel and "
-                        "can no longer receive"
-                    )
-                tag, value = kernel.ingest(item)
-                next_ingested[target_slot].append(
-                    (sender_index, index[target], tag, value)
-                )
+        # The kernel tier has no keep-alive or timers by contract, so the
+        # clock only ever schedules interpreted nodes.
+        clock = ops._clock = VirtualClock(
+            index, contexts, algorithms, fabric, stats, max_rounds,
+            raise_on_timeout,
+        )
 
         # Round 0: kernel setup + on_start, then the interpreted tier's
         # on_start in node order (cross-tier order is unobservable — no
@@ -719,77 +722,24 @@ class VectorizedBackend(SchedulerBackend):
             kernel.setup(ops, claimed, algorithms)
         for kernel, claimed in kernels:
             kernel.on_start(ops)
-        for i in interpreted:
-            v = nodes[i]
-            ctx = contexts[v]
-            outbox = algorithms[v].on_start(ctx) or {}
-            if outbox:
-                stage_interp(v, outbox, 0)
-            if ctx._keep_alive:
-                latched.add(v)
-            arm(v, ctx)
+        clock.start([nodes[i] for i in interpreted])
 
+        no_ingest = [[] for _ in kernels]
         round_no = 0
         while True:
-            # Drop timer buckets whose every entry went stale (same lazy
-            # validation as the event backend's wheel).
-            while timer_heap:
-                tick = timer_heap[0]
-                bucket = timers.get(tick)
-                if bucket and any(contexts[v]._wake_at == tick for v in bucket):
-                    break
-                timers.pop(tick, None)
-                heapq.heappop(timer_heap)
-            have_work = bool(
-                ops._staged or next_pending or latched
-                or any(next_ingested)
-            )
-            if not have_work and not timer_heap:
+            ingested = fabric.ingested if fabric is not None else no_ingest
+            tick = clock.next_tick()
+            if ops._staged or any(ingested):
+                tick = round_no + 1
+            if tick is None:
                 break
-            next_round = round_no + 1 if have_work else timer_heap[0]
-            if next_round > max_rounds:
-                if raise_on_timeout:
-                    raise CongestViolation(
-                        f"execution did not quiesce within {max_rounds} rounds"
-                    )
-                stats.rounds = max_rounds
+            if fabric is not None:
+                fabric.ingested = [[] for _ in kernels]
+            clock.step(tick)  # the interpreted tier, or the timeout
+            if clock.timed_out:
                 break
-            round_no = next_round
-            stats.rounds = round_no
-            ops.round = round_no
-
+            round_no = ops.round = tick
             batches, ops._staged = ops._staged, []
-            ingested, next_ingested = next_ingested, [[] for _ in kernels]
-            pending, next_pending = next_pending, {}
-            ops._interp_pending = next_pending
-            waking, latched = latched, set()
-
-            # Interpreted tier: the event activation rule.
-            current = set(pending) | waking
-            while timer_heap and timer_heap[0] == round_no:
-                heapq.heappop(timer_heap)
-            for v in timers.pop(round_no, ()):
-                if contexts[v]._wake_at == round_no:
-                    current.add(v)
-            for v in sorted(current, key=index.__getitem__):
-                ctx = contexts[v]
-                ctx.round = round_no
-                ctx._keep_alive = False
-                if ctx._wake_at is not None and ctx._wake_at <= round_no:
-                    ctx._wake_at = None  # the timer fires with this wake
-                entries = pending.get(v)
-                if entries:
-                    entries.sort()
-                    inbox = {sender: item for _, sender, item in entries}
-                else:
-                    inbox = {}
-                outbox = algorithms[v].on_wake(ctx, inbox) or {}
-                stats.activations += 1
-                if outbox:
-                    stage_interp(v, outbox, round_no)
-                if ctx._keep_alive:
-                    latched.add(v)
-                arm(v, ctx)
 
             # Kernel tier: gather -> apply -> scatter per kernel. Each
             # receiver counts one activation, exactly an event-backend

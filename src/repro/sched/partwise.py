@@ -38,7 +38,7 @@ all children have reported — completion is signalled, never inferred from
 tick counting — which is why the measured completion stays correct under
 any latency assignment.
 
-Faithfulness note (documented in DESIGN.md): the routing trees are planned
+Faithfulness note: the routing trees are planned
 centrally. A distributed plan costs one extra broadcast-shaped wave over
 ``C_i`` with identical congestion characteristics, so the asymptotics and
 the measured shapes are unaffected; the constant is one extra pass.

@@ -1,4 +1,4 @@
-"""Tests for the asyncio latency-realistic scheduler backend.
+"""Tests for the latency-realistic ``async`` scheduler backend.
 
 Three concerns:
 
