@@ -65,7 +65,8 @@ lockstep-equivalent under the default ``uniform`` model, latency-realistic
 (reporting ``RoundStats.virtual_time`` and per-node completion times)
 under ``seeded-jitter``/``degree-proportional``.  Per-node ``ctx.rng`` streams
 are derived from ``(run_seed, node_index)``, making them invariant across
-backends and worker counts.
+backends and worker counts; each is derived on the node's first read of
+``ctx.rng``, so a run in which no node draws builds no generator at all.
 """
 
 from repro.congest.network import NodeContext, SyncNetwork

@@ -47,6 +47,7 @@ import heapq
 import json
 import math
 import pathlib
+from functools import partial
 
 import networkx as nx
 
@@ -726,7 +727,7 @@ class AsyncBackend(SchedulerBackend):
         )
         contexts = {
             v: NodeContext(
-                v, net._neighbors[v], len(nodes), derive_node_rng(run_seed, i)
+                v, net._neighbors[v], len(nodes), partial(derive_node_rng, run_seed, i)
             )
             for i, v in enumerate(nodes)
         }

@@ -21,7 +21,10 @@ Two invariants make backend equivalence possible:
   derived from ``(run_seed, node_index)`` via
   :func:`repro.util.rng.derive_node_rng`, never drawn from a shared
   generator in iteration order. A node's stream is therefore independent of
-  scheduler, activation order, and worker process.
+  scheduler, activation order, and worker process. The derivation happens
+  on the first read of ``ctx.rng``, not when the context is built: being a
+  pure function of the pair, it yields the same numbers whenever it runs,
+  and a run in which no node draws pays for no stream.
 * **Canonical inbox order** — within a round, activation follows the
   graph's node order, so each inbox's insertion order (observable through
   dict iteration) is sender-index order under every backend.
@@ -47,6 +50,8 @@ and the vectorized backend's interpreted tier all run on the one
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
+from functools import partial
 
 from repro.congest.clock import VirtualClock
 from repro.congest.stats import RoundStats
@@ -146,11 +151,18 @@ def available_schedulers() -> tuple[str, ...]:
 
 
 class NodeContext:
-    """Read-only view of a node's environment plus the wake-up controls."""
+    """Read-only view of a node's environment plus the wake-up controls.
+
+    ``rng`` is either the node's generator or a zero-argument callable
+    that derives it (the backends pass
+    ``functools.partial(derive_node_rng, run_seed, node_index)``); a
+    deferred stream is derived on the first read of :attr:`rng`, so a run
+    in which no node draws derives nothing.
+    """
 
     __slots__ = (
-        "node", "neighbors", "round", "num_nodes", "rng", "_keep_alive",
-        "_wake_at",
+        "node", "neighbors", "round", "num_nodes", "_rng", "_derive_rng",
+        "_keep_alive", "_wake_at",
     )
 
     def __init__(
@@ -158,15 +170,26 @@ class NodeContext:
         node: int,
         neighbors: tuple[int, ...],
         num_nodes: int,
-        rng: random.Random,
+        rng: random.Random | Callable[[], random.Random],
     ):
         self.node = node
         self.neighbors = neighbors
         self.round = 0
         self.num_nodes = num_nodes
-        self.rng = rng
+        if isinstance(rng, random.Random):
+            self._rng, self._derive_rng = rng, None
+        else:
+            self._rng, self._derive_rng = None, rng
         self._keep_alive = False
         self._wake_at: int | None = None
+
+    @property
+    def rng(self) -> random.Random:
+        """The node's random stream; a deferred one is derived on first read."""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = self._derive_rng()
+        return rng
 
     def keep_alive(self) -> None:
         """Prevent quiescence this round even without sending a message.
@@ -392,14 +415,19 @@ def checked_spurious_wake(algorithm, ctx, activate, node, round_no: int):
             a cross-backend byte-equivalence failure far from its cause.
     """
     state_before = _state_fingerprint(algorithm)
-    rng_before = ctx.rng.getstate()
+    # Read the stream's slot, not ctx.rng: the check must not derive it.
+    rng_before = None if ctx._rng is None else ctx._rng.getstate()
     wake_before = ctx._wake_at
     outbox = activate() or {}
     problems = []
     if outbox:
         problems.append(f"sent {len(outbox)} message(s)")
-    if ctx.rng.getstate() != rng_before:
-        problems.append("drew from ctx.rng")
+    if ctx._rng is not None:
+        if rng_before is None:
+            # The wake derived the stream: compare with an undrawn twin.
+            rng_before = ctx._derive_rng().getstate()
+        if ctx._rng.getstate() != rng_before:
+            problems.append("drew from ctx.rng")
     if _state_fingerprint(algorithm) != state_before:
         problems.append("changed its state")
     if ctx._keep_alive:
@@ -449,10 +477,12 @@ class SchedulerBackend:
 
 
 def _node_contexts(net, run_seed: int) -> dict:
-    """One :class:`NodeContext` per node, rng derived from its index."""
+    """One :class:`NodeContext` per node, rng deferred to its index."""
     nodes = net._nodes
     return {
-        v: NodeContext(v, net._neighbors[v], len(nodes), derive_node_rng(run_seed, i))
+        v: NodeContext(
+            v, net._neighbors[v], len(nodes), partial(derive_node_rng, run_seed, i)
+        )
         for i, v in enumerate(nodes)
     }
 

@@ -66,6 +66,7 @@ import random
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 import networkx as nx
 
@@ -432,7 +433,7 @@ class JobScheduler:
         )
         contexts = {
             v: NodeContext(
-                v, neighbors[v], len(nodes), derive_node_rng(run_seed, i)
+                v, neighbors[v], len(nodes), partial(derive_node_rng, run_seed, i)
             )
             for i, v in enumerate(nodes)
         }

@@ -171,7 +171,9 @@ class SyncNetwork:
         enforce_bandwidth: disable only for experiments that deliberately
             exceed the model (never done in this library's algorithms).
         rng: seed or generator; one value is drawn per run to derive every
-            node's ``ctx.rng`` stream from ``(run_seed, node_index)``.
+            node's ``ctx.rng`` stream from ``(run_seed, node_index)``. A
+            stream is derived on the node's first read of ``ctx.rng``, so
+            nodes that never draw cost nothing.
         scheduler: ``"event"`` (active-set, default), ``"dense"``
             (lockstep reference), ``"sharded"`` (multi-process),
             ``"async"`` (latency-realistic virtual clock), or ``"vectorized"``

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+from functools import partial
 
 from repro.congest.engine import (
     MessageFabric,
@@ -203,7 +204,8 @@ def _worker_main(conn, shard_id, my_nodes, shard_of, net, algorithms, run_seed):
         my_set = frozenset(my_nodes)
         contexts = {
             v: NodeContext(
-                v, net._neighbors[v], num_nodes, derive_node_rng(run_seed, index[v])
+                v, net._neighbors[v], num_nodes,
+                partial(derive_node_rng, run_seed, index[v]),
             )
             for v in my_nodes
         }

@@ -74,6 +74,8 @@ unknown-scheduler error.
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.congest.clock import VirtualClock
 from repro.congest.engine import (
     MessageFabric,
@@ -704,7 +706,7 @@ class VectorizedBackend(SchedulerBackend):
             contexts = {
                 nodes[i]: NodeContext(
                     nodes[i], net._neighbors[nodes[i]], csr.n,
-                    derive_node_rng(run_seed, i),
+                    partial(derive_node_rng, run_seed, i),
                 )
                 for i in interpreted
             }

@@ -25,8 +25,7 @@ _BOOL_BITS = 1
 
 def bits_for_int(value: int) -> int:
     """Number of bits to encode ``value`` (sign + magnitude, minimum 1)."""
-    magnitude = abs(value)
-    return max(1, magnitude.bit_length()) + (1 if value < 0 else 0)
+    return (value.bit_length() or 1) + (value < 0)
 
 
 def payload_bits(payload: object) -> int:
@@ -37,6 +36,23 @@ def payload_bits(payload: object) -> int:
     these. Anything else raises :class:`TypeError` — the simulator refuses
     to guess sizes for arbitrary objects.
     """
+    # Fast paths for the exact types nearly every message is made of: a
+    # plain int, and a non-empty tuple whose int fields are sized inline.
+    # Both inline copies are ``bits_for_int`` unrolled and must match it.
+    # Everything else — bool and other int subclasses, nested and empty
+    # containers, unknown types — takes the general path below, with
+    # identical results.
+    kind = type(payload)
+    if kind is int:
+        return (payload.bit_length() or 1) + (payload < 0)
+    if kind is tuple and payload:
+        total = 0
+        for item in payload:
+            if type(item) is int:
+                total += (item.bit_length() or 1) + (item < 0) + _FIELD_OVERHEAD_BITS
+            else:
+                total += payload_bits(item) + _FIELD_OVERHEAD_BITS
+        return total
     if payload is None:
         return _NONE_BITS
     if isinstance(payload, bool):
