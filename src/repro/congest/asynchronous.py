@@ -10,8 +10,8 @@ instances on the shared :class:`~repro.congest.clock.VirtualClock`: a
 message sent on edge ``e`` at tick ``t`` is delivered at ``t + latency(e)``, where the
 per-edge latency comes from a pluggable :class:`LatencyModel`. This is the
 one delivery convention shared by every latency-aware engine in the
-codebase — the packet scheduler (:mod:`repro.sched.partwise`) uses the
-same ``send tick + latency(e)`` rule — and ``latency(e) = 1`` reproduces
+codebase — each prices a send through :meth:`LatencyModel.link_view`, the
+packet scheduler (:mod:`repro.sched.partwise`) too — and ``latency(e) = 1`` reproduces
 the lockstep sent-in-``r``, delivered-in-``r + 1`` schedule exactly (the
 test suite pins a forced all-ones latency table byte-identical to running
 with no model at all, in both engines).
@@ -47,6 +47,7 @@ import heapq
 import json
 import math
 import pathlib
+from collections.abc import Callable
 from functools import partial
 
 import networkx as nx
@@ -66,6 +67,7 @@ __all__ = [
     "AsyncBackend",
     "LatencyModel",
     "LoadDependentLatency",
+    "LatencyTable",
     "LinkSchedule",
     "UniformLatency",
     "SeededJitterLatency",
@@ -110,13 +112,14 @@ class LatencyModel:
     * **load-dependent** (:class:`LoadDependentLatency`,
       ``is_dynamic = True``) — transit time is computed at *send* time
       from the send tick and the link's instantaneous in-flight load, via
-      the narrow :class:`LinkSchedule` view the engines thread through
-      :meth:`~repro.congest.engine.MessageFabric.deliver_timed`.
+      a per-run :class:`LinkSchedule`.
       ``contention`` and ``trace-driven`` are load-dependent.
 
-    Either way the one shared delivery convention holds: a message sent on
-    edge ``e`` at tick ``t`` is delivered at ``t + transit``, with
-    ``transit >= 1`` and ``transit == 1`` reproducing lockstep.
+    Either way engines price a send with one ``transit(u, v, now)`` call
+    on the run's :meth:`link_view`, and the one shared delivery convention
+    holds: a message sent on edge ``e`` at tick ``t`` is delivered at
+    ``t + transit``, with ``transit >= 1`` and ``transit == 1``
+    reproducing lockstep.
     """
 
     name: str = "abstract"
@@ -145,6 +148,14 @@ class LatencyModel:
             table[(v, u)] = backward
         return table
 
+    def link_view(self, graph: nx.Graph, seed: Callable[[], int]):
+        """The per-run view every engine prices sends through, or ``None``.
+
+        ``seed`` returns the run seed; only a static, non-uniform model
+        calls it, once, so callers may draw it from a shared generator.
+        """
+        return LatencyTable(self.build(graph, seed()))
+
     def schedule(self, graph: nx.Graph) -> "LinkSchedule":
         """The per-run link schedule of a load-dependent model.
 
@@ -169,11 +180,6 @@ class LatencyModel:
             f"(got {arg!r})"
         )
 
-    @property
-    def is_uniform(self) -> bool:
-        """True only for the lockstep-equivalent unit-latency model."""
-        return False
-
 
 class UniformLatency(LatencyModel):
     """Every edge takes one tick — the lockstep-equivalent mode.
@@ -188,13 +194,12 @@ class UniformLatency(LatencyModel):
         return 1
 
     def build(self, graph, run_seed):
-        # None tells MessageFabric to skip the table lookup entirely — the
-        # hot path stays as cheap as the event backend's.
         return None
 
-    @property
-    def is_uniform(self):
-        return True
+    def link_view(self, graph, seed):
+        # No view: the engines keep their unit-latency fast paths, and the
+        # run seed is never drawn.
+        return None
 
 
 class SeededJitterLatency(LatencyModel):
@@ -286,7 +291,7 @@ class LoadDependentLatency(LatencyModel):
     fabric observes the same physical link, so there is no per-run seed to
     thread (randomized link behavior belongs in static models, which *are*
     seeded). Engines obtain a fresh :class:`LinkSchedule` per run via
-    :meth:`schedule` and ask it for one transit per message; the schedule
+    :meth:`link_view` and ask it for one transit per message; the schedule
     owns the in-flight bookkeeping and is the only state involved, so a
     replay of the same send sequence reproduces the same delivery times
     byte for byte.
@@ -311,6 +316,9 @@ class LoadDependentLatency(LatencyModel):
             f"(a backend whose supports_latency_models flag is set)"
         )
 
+    def link_view(self, graph, seed):
+        return self.schedule(graph)
+
     def schedule(self, graph: nx.Graph) -> "LinkSchedule":
         """A fresh per-run :class:`LinkSchedule` bound to this model."""
         self.prepare(graph)
@@ -323,14 +331,29 @@ class LoadDependentLatency(LatencyModel):
         """Upper bound on one transit under ``max_load`` concurrent flows.
 
         Used by drivers to scale timeout bounds (the dynamic analogue of
-        ``max(latency_table.values())``); a loose bound only risks a later
+        :meth:`LatencyTable.worst_transit`); a loose bound only risks a later
         timeout, never wrong results.
         """
         raise NotImplementedError
 
 
+class LatencyTable:
+    """The link view of a static model: one run's per-edge latency table."""
+
+    __slots__ = ("table",)
+
+    def __init__(self, table: dict[tuple[int, int], int]):
+        self.table = table
+
+    def transit(self, u: int, v: int, now: int) -> int:
+        return self.table[(u, v)]
+
+    def worst_transit(self, max_load: int) -> int:
+        return max(self.table.values(), default=1)
+
+
 class LinkSchedule:
-    """The narrow runtime view a load-dependent model executes through.
+    """The link view of a load-dependent model: per-run in-flight state.
 
     Tracks, per undirected link, how many messages are in transit *right
     now*, fed by the engines' timed staging queues: every granted send
@@ -377,6 +400,9 @@ class LinkSchedule:
         self._inflight[link] = inflight + 1
         heapq.heappush(self._releases, (now + transit, link))
         return transit
+
+    def worst_transit(self, max_load: int) -> int:
+        return self.model.worst_transit(max_load)
 
     def _drain(self, now: int) -> None:
         releases = self._releases
@@ -695,12 +721,11 @@ class AsyncBackend(SchedulerBackend):
     """The virtual clock with per-edge latencies and the wall-model stats.
 
     The same :class:`~repro.congest.clock.VirtualClock` the ``event``
-    backend runs, handed a static latency table or a load-dependent
-    :class:`LinkSchedule`: a send at tick ``t`` lands at ``t +
-    latency(edge)``, and every activation records its tick in
-    ``completion_times``. Quiescence is an empty schedule — no arrivals
-    in flight, no latches, no live timers — exactly the lockstep rule
-    lifted to virtual time.
+    backend runs, with the latency model's link view on its fabric: a
+    send at tick ``t`` lands at ``t + transit``, and every activation
+    records its tick in ``completion_times``. Quiescence is an empty
+    schedule — no arrivals in flight, no latches, no live timers —
+    exactly the lockstep rule lifted to virtual time.
     """
 
     name = "async"
@@ -711,19 +736,11 @@ class AsyncBackend(SchedulerBackend):
 
     def execute(self, net, algorithms, run_seed, max_rounds, raise_on_timeout):
         model = resolve_latency_model(getattr(net, "latency_model", None))
-        if model.is_dynamic:
-            # Load-dependent path (the capability split): no static table
-            # exists — the fabric computes each transit at send time from
-            # the link's instantaneous in-flight count, via a fresh
-            # per-run LinkSchedule. Seed-free by contract.
-            latencies, link_schedule = None, model.schedule(net.graph)
-        else:
-            latencies, link_schedule = model.build(net.graph, run_seed), None
         nodes = net._nodes
         stats = RoundStats()
         fabric = MessageFabric(
             net._neighbor_sets, net.bandwidth_bits, net.enforce_bandwidth,
-            stats, latencies=latencies, link_schedule=link_schedule,
+            stats, links=model.link_view(net.graph, lambda: run_seed),
         )
         contexts = {
             v: NodeContext(

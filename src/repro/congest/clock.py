@@ -7,9 +7,8 @@ node population through that schedule, and four drivers share it:
 
 * the ``event`` backend — the clock at unit latency
   (:class:`~repro.congest.engine.EventBackend`);
-* the ``async`` backend — the same clock with a static latency table or a
-  load-dependent link schedule, recording the wall-model
-  ``RoundStats`` dimension
+* the ``async`` backend — the same clock with the latency model's link
+  view on its fabric, recording the wall-model ``RoundStats`` dimension
   (:class:`~repro.congest.asynchronous.AsyncBackend`);
 * the multi-tenant job layer — one clock per job in job-local ticks, with
   sends granted by the :class:`~repro.congest.jobs.EdgeArbiter` and staged
@@ -76,14 +75,12 @@ class VirtualClock:
         self.timed_out = False
         # At unit latency with one tenant, tick t + 1's arrivals come only
         # from tick t's activations, which run in node-index order — so
-        # sends go straight into per-target inbox dicts. A latency table,
-        # a link schedule or an arbiter can deliver out of send order:
-        # arrivals are then staged as (sender_index, sender, payload)
-        # entries and sorted when the receiver activates.
+        # sends go straight into per-target inbox dicts. A link view or an
+        # arbiter can deliver out of send order: arrivals are then staged
+        # as (sender_index, sender, payload) entries and sorted when the
+        # receiver activates.
         self._timed = fabric is not None and (
-            fabric.latencies is not None
-            or fabric.link_schedule is not None
-            or fabric.arbiter is not None
+            fabric.links is not None or fabric.arbiter is not None
         )
         # tick -> target -> inbox dict (unit latency) or entry list (timed)
         self._arrivals: dict[int, dict] = {}
@@ -236,7 +233,7 @@ class VirtualClock:
 
     def _send(self, v, outbox, tick: int, inboxes, woken) -> None:
         """Stage ``v``'s sends: straight into ``tick + 1``'s inboxes at unit
-        latency, else into the arrival buckets the fabric's transit picks."""
+        latency, else into the arrival buckets the fabric's link view picks."""
         if inboxes is not None:
             self.fabric.deliver(v, outbox, inboxes, woken, tick)
             return

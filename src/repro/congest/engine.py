@@ -244,7 +244,7 @@ class MessageFabric:
 
     __slots__ = (
         "neighbor_sets", "bandwidth_bits", "enforce_bandwidth", "stats",
-        "latencies", "link_schedule", "job_id", "arbiter",
+        "links", "job_id", "arbiter",
     )
 
     def __init__(
@@ -253,8 +253,7 @@ class MessageFabric:
         bandwidth_bits: int,
         enforce_bandwidth: bool,
         stats: RoundStats,
-        latencies: dict[tuple[int, int], int] | None = None,
-        link_schedule: object = None,
+        links: object = None,
         job_id: str | None = None,
         arbiter: object = None,
     ):
@@ -262,14 +261,10 @@ class MessageFabric:
         self.bandwidth_bits = bandwidth_bits
         self.enforce_bandwidth = enforce_bandwidth
         self.stats = stats
-        # Per-directed-edge transit times in ticks (>= 1), or None for the
-        # lockstep backends (every message takes exactly one round).
-        self.latencies = latencies
-        # Load-dependent latency models hand the fabric a LinkSchedule
-        # instead of a table: transit is computed per send from the link's
-        # instantaneous in-flight count (repro.congest.asynchronous's
-        # capability split). Mutually exclusive with `latencies`.
-        self.link_schedule = link_schedule
+        # The latency model's link view (LatencyModel.link_view): it prices
+        # every send with one transit(sender, target, now) call. None for
+        # the lockstep backends (every message takes exactly one round).
+        self.links = links
         # Tenancy tagging (the multi-tenant job layer, repro.congest.jobs):
         # every message this fabric carries belongs to `job_id`, and when an
         # `arbiter` is attached sends are submitted to it for per-edge
@@ -338,8 +333,9 @@ class MessageFabric:
     ) -> list[int]:
         """Validate ``sender``'s outbox and stage it into virtual-time buckets.
 
-        Each message sent at tick ``now`` arrives at ``now + latency(edge)``
-        (one tick per edge without a latency table). Staged entries are
+        Each message sent at tick ``now`` arrives at ``now +
+        links.transit(sender, target, now)`` (one tick per edge without a
+        link view). Staged entries are
         ``(sender_index, sender, payload)`` tuples; the virtual clock
         sorts each inbox by sender index, reproducing the canonical
         insertion order regardless of send times. Returns the arrival times
@@ -360,20 +356,14 @@ class MessageFabric:
                 arbiter.submit(self, sender, sender_index, target, payload, bits)
             return []
         stats = self.stats
-        latencies = self.latencies
-        link_schedule = self.link_schedule
+        links = self.links
         new_times: list[int] = []
         for target, payload in outbox.items():
             bits = self.validate(sender, target, payload)
-            if link_schedule is not None:
-                # Load-dependent path: transit is computed at send time
-                # from the link's instantaneous in-flight count. Callers
-                # present sends in non-decreasing `now` order (the
-                # virtual-clock engines pop time in order), which is the
-                # schedule's determinism contract.
-                arrive = now + link_schedule.transit(sender, target, now)
-            else:
-                arrive = now + (latencies[(sender, target)] if latencies else 1)
+            # Callers present sends in non-decreasing `now` order (the
+            # virtual-clock engines pop time in order), which is a
+            # load-dependent view's determinism contract.
+            arrive = now + (links.transit(sender, target, now) if links is not None else 1)
             bucket = arrivals.get(arrive)
             if bucket is None:
                 bucket = arrivals[arrive] = {}

@@ -195,7 +195,7 @@ class ScheduleResult:
 class _JobState:
     """Driver-internal execution state of one admitted population job."""
 
-    __slots__ = ("job", "slot", "offset", "nodes", "stats", "latencies", "clock", "pending")
+    __slots__ = ("job", "slot", "offset", "nodes", "stats", "links", "clock", "pending")
 
     def __init__(self, job: Job, slot: int, offset: int):
         self.job = job
@@ -417,11 +417,12 @@ class JobScheduler:
             }
             neighbor_sets = {v: frozenset(nbrs) for v, nbrs in neighbors.items()}
             graph_view = self.graph.subgraph(nodes)
-        state.latencies = (
-            self._model.build(graph_view, run_seed)
-            if self.scheduler == "async" and not self._model.is_dynamic
-            else None
-        )
+        # A static model prices each job from the job's own run seed on its
+        # own population (the solo-identity contract); a load-dependent
+        # one is the run's shared schedule.
+        state.links = self._shared_links
+        if state.links is None:
+            state.links = self._model.link_view(graph_view, lambda: run_seed)
         bandwidth = self.bandwidth_bits
         if bandwidth is None:
             bandwidth = BANDWIDTH_FACTOR * max(
@@ -429,7 +430,7 @@ class JobScheduler:
             )
         fabric = MessageFabric(
             neighbor_sets, bandwidth, self.enforce_bandwidth, state.stats,
-            latencies=state.latencies, job_id=job.job_id, arbiter=self._arbiter,
+            links=state.links, job_id=job.job_id, arbiter=self._arbiter,
         )
         contexts = {
             v: NodeContext(
@@ -484,19 +485,17 @@ class JobScheduler:
         contention a deferred message is charged (and starts its transit)
         at its grant.
 
-        Under a load-dependent model the transit comes from the *shared*
-        link schedule, in global ticks: every tenant of the fabric loads
-        the same physical links, so cross-tenant contention costs virtual
-        time (on top of the grant delay charged to
-        ``arbitration_stalls``). Load-dependent models are seed-free by
-        contract, which is what makes one schedule across tenants
-        well-defined — and solo identity automatic.
+        The transit comes from the job's link view. Under a load-dependent
+        model that is the *shared* link schedule, in global ticks: every
+        tenant of the fabric loads the same physical links, so
+        cross-tenant contention costs virtual time (on top of the grant
+        delay charged to ``arbitration_stalls``). Load-dependent models
+        are seed-free by contract, which is what makes one schedule
+        across tenants well-defined — and solo identity automatic.
         """
         rel = now - state.offset
-        if self._link_schedule is not None:
-            arrive = rel + self._link_schedule.transit(sender, target, now)
-        else:
-            arrive = rel + (state.latencies[(sender, target)] if state.latencies else 1)
+        links = state.links
+        arrive = rel + (links.transit(sender, target, now) if links is not None else 1)
         state.clock.stage(arrive, target, sender_index, sender, payload)
         state.stats.record_message(sender, target, bits, rel)
 
@@ -599,10 +598,8 @@ class JobScheduler:
         # One link schedule per run, shared by every tenant (global
         # ticks): load-dependent transit is a property of the physical
         # link, so concurrent jobs on a link slow each other down.
-        self._link_schedule = (
-            self._model.schedule(self.graph)
-            if self.scheduler == "async" and self._model.is_dynamic
-            else None
+        self._shared_links = (
+            self._model.link_view(self.graph, None) if self._model.is_dynamic else None
         )
         self._running: list[_JobState] = []
         self._queue: deque[Job] = deque(jobs)

@@ -20,7 +20,9 @@ latency-realistically, under the **one shared delivery convention** of the
 whole codebase (:meth:`repro.congest.engine.MessageFabric.deliver_timed`):
 a packet *sent* at tick ``t`` — ``t`` being the send tick recorded in
 ``RoundStats.messages_by_round`` — is delivered at ``t + latency(e)``,
-with ``latency(e) = 1`` reproducing the lockstep sent-in-``r``,
+priced by one ``transit`` call on the model's link view
+(:meth:`~repro.congest.asynchronous.LatencyModel.link_view`) as in the
+message fabric, with ``latency(e) = 1`` reproducing the lockstep sent-in-``r``,
 delivered-in-``r + 1`` schedule exactly (asserted by the test suite: a
 forced all-ones latency table is byte-identical to running with no model
 at all, in both this engine and the async scheduler backend). One packet
@@ -46,6 +48,7 @@ the measured shapes are unaffected; the constant is one extra pass.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from collections.abc import Callable
@@ -53,6 +56,7 @@ from dataclasses import dataclass, field
 
 import networkx as nx
 
+from repro.congest.asynchronous import resolve_latency_model
 from repro.congest.stats import RoundStats
 from repro.core.shortcut import Shortcut
 from repro.graphs.partition import Partition
@@ -147,7 +151,6 @@ def partwise_aggregate(
     rng: int | random.Random | None = None,
     delay_mode: str = "random",
     max_rounds: int | None = None,
-    queue_discipline: str = "fifo",
     latency_model: object = None,
 ) -> PartwiseAggregationResult:
     """Simulate all parts aggregating simultaneously through the shortcut.
@@ -165,10 +168,6 @@ def partwise_aggregate(
             the trivial schedule).
         max_rounds: hard stop; defaults to a generous
             ``8·(load + (depth+1)·(2+log2 n)) + 64``.
-        queue_discipline: which queued packet an edge transmits each round:
-            ``"fifo"`` (arrival order) or ``"random"`` (uniform among
-            queued) — scheduling-theory ablation; the LMR bound holds for
-            either.
         latency_model: per-edge latency model (name or
             :class:`~repro.congest.asynchronous.LatencyModel` instance) for
             latency-realistic packet transit; ``None`` = one tick per edge
@@ -179,30 +178,14 @@ def partwise_aggregate(
 
     Raises:
         ShortcutError: on disconnected communication graphs, an unknown
-            ``delay_mode``, ``queue_discipline``, or ``latency_model``.
+            ``delay_mode`` or ``latency_model``.
     """
-    if queue_discipline not in ("fifo", "random"):
-        raise ShortcutError(f"unknown queue_discipline {queue_discipline!r}")
     rng = ensure_rng(rng)
-    latencies = None
-    link_schedule = None
-    model = None
-    if latency_model is not None:
-        from repro.congest.asynchronous import resolve_latency_model
-
-        model = resolve_latency_model(latency_model, ShortcutError)
-        if model.is_dynamic:
-            # Load-dependent model (the capability split): transit is
-            # computed per packet from the link's instantaneous in-flight
-            # count. Seed-free by contract, so no rng draw here either.
-            link_schedule = model.schedule(graph)
-        elif not model.is_uniform:
-            # One draw per run, and only when the model is genuinely
-            # non-uniform: "uniform" must stay byte-identical to no model
-            # at all (rng stream included), so it must not consume the
-            # draw its build() would ignore anyway. Latencies derive from
-            # (run_seed, edge).
-            latencies = model.build(graph, rng.randrange(2**62))
+    # The seed is drawn only by a static, non-uniform model, so "uniform"
+    # stays byte-identical to no model at all, rng stream included.
+    links = resolve_latency_model(latency_model, ShortcutError).link_view(
+        graph, lambda: rng.randrange(2**62)
+    )
     plans = plan_routing_trees(graph, partition, shortcut)
 
     # Planned per-directed-edge load: each routing-tree edge carries exactly
@@ -218,23 +201,17 @@ def partwise_aggregate(
     max_depth = max((plan.depth for plan in plans), default=0)
 
     delays = _make_delays(len(plans), max_load, max_depth, delay_mode, rng)
-    import math
-
     n = max(graph.number_of_nodes(), 2)
     if max_rounds is None:
         max_rounds = int(
             8 * (max_load + (max_depth + 1) * (2 + math.log2(n))) + max(delays, default=0) + 64
         )
-        if latencies:
-            # Every hop may take up to the slowest transit time.
-            max_rounds *= max(latencies.values())
-        elif link_schedule is not None:
-            # Dynamic analogue: at most 2*max_load packets share a link at
-            # once (one entry per directed edge per tick, both directions),
-            # so every hop is bounded by the model's worst transit under
-            # that load. Loose only risks a later timeout, never wrong
-            # results.
-            max_rounds *= max(1, model.worst_transit(2 * max_load))
+        if links is not None:
+            # At most 2*max_load packets share a link at once (one entry
+            # per directed edge per tick, both directions), so every hop
+            # takes at most the view's worst transit under that load.
+            # Loose only risks a later timeout, never wrong results.
+            max_rounds *= max(1, links.worst_transit(2 * max_load))
 
     # --- Per-part per-node execution state ---------------------------------
     pending: list[dict[int, int]] = []  # children still to report, per node
@@ -266,9 +243,6 @@ def partwise_aggregate(
                 start_schedule.setdefault(delays[plan.index], []).append(
                     (plan.index, node)
                 )
-        if not plan.children[plan.root] and plan.parent[plan.root] is None:
-            # Single-node communication graph: completes instantly at delay.
-            pass
 
     finished_nodes: list[int] = [0] * len(plans)  # broadcast receipts
     results: dict[int, object] = {}
@@ -301,9 +275,6 @@ def partwise_aggregate(
         for edge, queue in queues.items():
             if not queue:
                 continue
-            if queue_discipline == "random" and len(queue) > 1:
-                position = rng.randrange(len(queue))
-                queue[position], queue[0] = queue[0], queue[position]
             packet = queue.popleft()
             # record_message also maintains the per-edge congestion counters,
             # so aggregations report *measured* congestion alongside the
@@ -315,17 +286,13 @@ def partwise_aggregate(
             stats.record_message(edge[0], edge[1], _packet_bits(packet), send_tick)
             # Shared delivery convention with the async scheduler backend
             # (MessageFabric.deliver_timed): sent at tick t, delivered at
-            # t + latency(e); latency 1 == the lockstep r -> r+1 schedule.
-            # Load-dependent models compute the transit here, at send
-            # time, from the link's instantaneous in-flight count (ticks
-            # are monotone across rounds; queues iterate in deterministic
-            # insertion order within one).
-            if link_schedule is not None:
-                arrive = send_tick + link_schedule.transit(
-                    edge[0], edge[1], send_tick
-                )
-            else:
-                arrive = send_tick + (latencies[edge] if latencies is not None else 1)
+            # t + transit; transit 1 == the lockstep r -> r+1 schedule. A
+            # load-dependent view needs sends in tick order: ticks are
+            # monotone across rounds, and queues iterate in deterministic
+            # insertion order within one.
+            arrive = send_tick + (
+                links.transit(edge[0], edge[1], send_tick) if links is not None else 1
+            )
             in_flight.setdefault(arrive, []).append((edge, packet))
         for (source, target), packet in in_flight.pop(current_round, ()):
             kind, part, value = packet
@@ -352,7 +319,7 @@ def partwise_aggregate(
     stats.rounds = max(completion.values(), default=0) if len(completion) == len(
         plans
     ) else current_round
-    if latencies is not None or link_schedule is not None:
+    if links is not None:
         # Latency-realistic run: ticks are virtual time, the wall-model
         # dimension round counts cannot express.
         stats.virtual_time = stats.rounds

@@ -231,7 +231,7 @@ class TestDeliveryConventionReconciled:
     sent at tick ``t`` crosses edge ``e`` by ``t + latency(e)``, so a
     forced all-ones latency table is byte-identical to running with no
     model at all. ``SeededJitterLatency(spread=1)`` builds a real table of
-    ones (``is_uniform`` is False), exercising the timed code path."""
+    ones (a static, non-uniform model), exercising the timed code path."""
 
     def test_async_backend_all_ones_table_equals_lockstep(self):
         graph = nx.lollipop_graph(6, 9)
