@@ -151,6 +151,7 @@ def distributed_mst(
         max_phases = 2 * max(1, math.ceil(math.log2(max(n, 2)))) + 4
 
     tree = resolve_tree(graph)
+    exchange_messages = 2 * graph.number_of_edges()  # one per edge direction
     fragment_of = {v: v for v in graph.nodes()}  # fragment id = leader node
     mst_edges: set[Edge] = set()
     stats = RoundStats()
@@ -170,7 +171,7 @@ def distributed_mst(
         # Step 1: fragment-id exchange (1 round, one message per edge
         # direction).
         phase_stats.rounds += 1
-        phase_stats.messages += 2 * graph.number_of_edges()
+        phase_stats.messages += exchange_messages
 
         # Step 2: shortcut for the current fragments, via the provider
         # registry (identical fragment collections — e.g. the singleton

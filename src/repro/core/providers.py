@@ -36,10 +36,12 @@ parts, mirroring the ``SchedulerBackend`` registry of :mod:`repro.congest`:
   LRU (cached outcomes necessarily keep their graph alive, so a weak map
   could never evict); the oldest entries fall out past
   ``_CACHE_MAX_ENTRIES`` and :func:`clear_shortcut_cache` drops
-  everything. Keys carry the graph's ``(n, m)`` signature, so topology
-  mutations that change either count invalidate stale entries; mutations
-  preserving both counts (an edge swap) are the caveat — call
-  :func:`clear_shortcut_cache` after such edits.
+  everything. Keys carry the graph's
+  :func:`~repro.graphs.adjacency.graph_signature` (node count and summed
+  adjacency sizes), so topology mutations that change the node or edge
+  count invalidate stale entries; mutations preserving both counts (an
+  edge swap) are the caveat — call :func:`clear_shortcut_cache` after
+  such edits.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from repro.core.certifying import certify_or_shortcut
 from repro.core.full import build_full_shortcut
 from repro.core.greedy import greedy_shortcut
 from repro.core.shortcut import Shortcut, ShortcutQuality
+from repro.graphs.adjacency import graph_signature
 from repro.graphs.partition import Partition
 from repro.graphs.trees import RootedTree, bfs_tree
 from repro.util.errors import ShortcutError
@@ -317,7 +320,7 @@ class _IterationCacheView:
     :func:`~repro.core.full.build_full_shortcut`.
 
     Scopes the per-iteration keys ``(parts, delta)`` to one
-    ``(graph, tree)`` pair (by identity, with the ``(n, m)`` signature
+    ``(graph, tree)`` pair (by identity, with the graph signature
     guarding the same mutation caveat as the outcome cache), charges
     hit/miss/eviction events to the owning provider's counters, and
     enforces the shared LRU bound.
@@ -331,21 +334,16 @@ class _IterationCacheView:
         self.provider = provider
 
     def _full_key(self, key: tuple) -> tuple:
-        return (
-            id(self.graph),
-            self.graph.number_of_nodes(),
-            self.graph.number_of_edges(),
-            id(self.tree),
-            *key,
-        )
+        return (id(self.graph), *graph_signature(self.graph), id(self.tree), *key)
 
     def get(self, key: tuple):
-        entry = _ITERATION_CACHE.get(self._full_key(key))
+        full_key = self._full_key(key)
+        entry = _ITERATION_CACHE.get(full_key)
         counts = _provider_counts(self.provider)
         if entry is None:
             counts["iteration_misses"] += 1
             return None
-        _ITERATION_CACHE.move_to_end(self._full_key(key))
+        _ITERATION_CACHE.move_to_end(full_key)
         counts["iteration_hits"] += 1
         return entry[2]
 
@@ -366,7 +364,7 @@ def resolve_delta(graph: nx.Graph, delta: float | None = None) -> float:
     """
     if delta is not None:
         return delta
-    signature = (graph.number_of_nodes(), graph.number_of_edges())
+    signature = graph_signature(graph)
     cached = _DELTA_CACHE.get(graph)
     if cached is not None and cached[0] == signature:
         return cached[1]
@@ -385,7 +383,7 @@ def resolve_tree(graph: nx.Graph, tree: RootedTree | None = None) -> RootedTree:
     repeated part-wise solves) reuse one tree instead of rebuilding it."""
     if tree is not None:
         return tree
-    signature = (graph.number_of_nodes(), graph.number_of_edges())
+    signature = graph_signature(graph)
     cached = _TREE_CACHE.get(graph)
     if cached is not None and cached[0] == signature:
         return cached[1]
@@ -522,16 +520,12 @@ def build_shortcut(request: ShortcutRequest) -> ShortcutOutcome:
     key = provider.cache_key(request, delta, tree)
     full_key: tuple | None = None
     if key is not None:
-        # The (n, m) signature invalidates entries when the caller mutates
-        # the graph between requests (mutations preserving both counts are
-        # the documented caveat); id stability is guaranteed by the strong
-        # graph reference each cached outcome holds.
-        full_key = (
-            id(request.graph),
-            request.graph.number_of_nodes(),
-            request.graph.number_of_edges(),
-            *key,
-        )
+        # The graph signature invalidates entries when the caller mutates
+        # the graph between requests (mutations preserving the node and
+        # edge counts are the documented caveat); id stability is
+        # guaranteed by the strong graph reference each cached outcome
+        # holds.
+        full_key = (id(request.graph), *graph_signature(request.graph), *key)
         cached = _OUTCOME_CACHE.get(full_key)
         if cached is not None:
             _OUTCOME_CACHE.move_to_end(full_key)

@@ -18,7 +18,7 @@ and the maximum block count bounds the dilation via Observation 2.6:
 from __future__ import annotations
 
 from collections import Counter, deque
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import networkx as nx
@@ -117,17 +117,42 @@ class Shortcut:
     # Dilation
     # ------------------------------------------------------------------
 
+    def _augmented_edges(self, index: int) -> Iterator[Edge]:
+        """The edges of ``G[P_i] + H_i`` in their defining insertion order.
+
+        Part node by part node, its neighbours inside the part in the host
+        graph's order, then the shortcut edges. Inserted after the part's
+        nodes, this sequence fixes the neighbour order of the augmented
+        graph, which BFS-planned routing trees depend on; both
+        :meth:`augmented_adjacency` and :meth:`augmented_subgraph` insert
+        exactly it, so the order has one definition.
+        """
+        part = self.partition[index]
+        adj = self.graph._adj
+        for u in part:
+            for v in adj[u]:
+                if v in part:
+                    yield u, v
+        yield from self.subgraphs[index]
+
+    def augmented_adjacency(self, index: int) -> dict[int, dict[int, None]]:
+        """``G[P_i] + H_i`` as a plain dict-of-dicts adjacency.
+
+        Node and neighbour order equal ``augmented_subgraph(index).adj``:
+        the same edges inserted the way ``nx.Graph.add_edge`` inserts them,
+        without building the graph object.
+        """
+        adjacency: dict[int, dict[int, None]] = {u: {} for u in self.partition[index]}
+        for u, v in self._augmented_edges(index):
+            adjacency.setdefault(u, {})[v] = None
+            adjacency.setdefault(v, {})[u] = None
+        return adjacency
+
     def augmented_subgraph(self, index: int) -> nx.Graph:
         """The graph ``G[P_i] + H_i`` for part ``index``."""
-        part = self.partition[index]
         augmented = nx.Graph()
-        augmented.add_nodes_from(part)
-        for u in part:
-            for v in self.graph.neighbors(u):
-                if v in part:
-                    augmented.add_edge(u, v)
-        for u, v in self.subgraphs[index]:
-            augmented.add_edge(u, v)
+        augmented.add_nodes_from(self.partition[index])
+        augmented.add_edges_from(self._augmented_edges(index))
         return augmented
 
     def part_dilation(self, index: int, exact: bool = True) -> float:

@@ -24,6 +24,7 @@ __all__ = [
     "induces_connected_subgraph",
     "CSRAdjacency",
     "graph_csr",
+    "graph_signature",
 ]
 
 
@@ -160,7 +161,22 @@ class CSRAdjacency:
         return pairs
 
 
-# Weakly keyed on the graph object, invalidated by an (n, m) signature —
+def graph_signature(graph: nx.Graph) -> tuple[int, int]:
+    """The mutation guard of every cache keyed on a graph object.
+
+    ``(n, summed adjacency sizes)``; the sum is ``2m`` on the library's
+    simple graphs, so adding or removing nodes or edges changes the
+    signature, while an edit that keeps both counts (an edge swap) is the
+    documented caveat of every cache using it. ``number_of_edges()``
+    gives the same guard but iterates every degree through the NodeView
+    layer, an order of magnitude slower, and signatures are computed on
+    every cache hit.
+    """
+    adj = graph._adj
+    return len(adj), sum(map(len, adj.values()))
+
+
+# Weakly keyed on the graph object, invalidated by its graph_signature —
 # the same idiom as the provider-layer tree/delta caches
 # (repro.core.providers): values hold no reference back to the graph, so
 # entries vanish with it, and a mutated graph misses on the signature.
@@ -177,11 +193,7 @@ def graph_csr(graph: nx.Graph) -> CSRAdjacency:
     """
     import numpy
 
-    # number_of_edges() iterates every degree through the NodeView layer;
-    # summing the adjacency dict sizes directly is the same count an order
-    # of magnitude cheaper, and this runs on every cache *hit*.
-    adj = graph._adj
-    signature = (len(adj), sum(map(len, adj.values())))
+    signature = graph_signature(graph)
     cached = _CSR_CACHE.get(graph)
     if cached is not None and cached[0] == signature:
         return cached[1]

@@ -10,6 +10,9 @@ graph is ``C_i = G[P_i] + H_i``. The engine:
 3. moves packets under the CONGEST capacity constraint — one packet per
    directed edge per round, FIFO per edge — with every part's start time
    shifted by a random delay in ``[0, congestion)`` (the LMR94 technique).
+   A tick visits only the edges holding a packet, in the order packets
+   first entered them; that order is part of the output (see
+   ``docs/architecture.md``).
 
 The measured completion round is the part-wise aggregation time ``T_PA``;
 with a quality-``Q`` shortcut it is ``O(Q log n)`` whp, which is exactly
@@ -50,9 +53,9 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import networkx as nx
 
@@ -92,13 +95,31 @@ class PartwiseAggregationResult:
 
 @dataclass
 class _PartPlan:
-    """Routing plan for one part: a rooted tree over its communication graph."""
+    """Routing plan for one part: a rooted tree over its communication graph.
+
+    Dense by BFS position: ``order[i]`` is the node at position ``i``
+    (``order[0]`` is the root), ``up[i]`` the position of its parent
+    (``-1`` at the root) and ``down[i]`` the positions of its children,
+    in BFS order.
+    """
 
     index: int
-    root: int
-    parent: dict[int, int | None]
-    children: dict[int, list[int]] = field(default_factory=dict)
+    order: list[int]
+    up: list[int]
+    down: list[list[int]]
     depth: int = 0
+
+    @property
+    def root(self) -> int:
+        return self.order[0]
+
+    @property
+    def parent(self) -> dict[int, int | None]:
+        """Routing-tree parent per node, in BFS order (``None`` at the root)."""
+        order = self.order
+        return {
+            node: order[up] if up >= 0 else None for node, up in zip(order, self.up)
+        }
 
 
 def plan_routing_trees(
@@ -108,37 +129,39 @@ def plan_routing_trees(
 ) -> list[_PartPlan]:
     """BFS routing tree of ``G[P_i] + H_i`` per part, rooted at the leader.
 
+    The BFS visits neighbours in the order of
+    :meth:`~repro.core.shortcut.Shortcut.augmented_adjacency`, which is the
+    order of :meth:`~repro.core.shortcut.Shortcut.augmented_subgraph`.
+
     Raises:
         ShortcutError: if some part's communication graph is disconnected
             (infinite dilation — the shortcut is unusable for aggregation).
     """
     plans: list[_PartPlan] = []
     for index in range(len(partition)):
-        communication = shortcut.augmented_subgraph(index)
+        adjacency = shortcut.augmented_adjacency(index)
         root = partition.leader_of(index)
-        parent: dict[int, int | None] = {root: None}
+        seen = {root}
         order = [root]
-        queue = deque([root])
-        while queue:
-            node = queue.popleft()
-            for neighbor in communication.neighbors(node):
-                if neighbor not in parent:
-                    parent[neighbor] = node
+        up = [-1]
+        depth_at = [0]
+        head = 0
+        while head < len(order):  # ``order`` doubles as the BFS queue
+            for neighbor in adjacency[order[head]]:
+                if neighbor not in seen:
+                    seen.add(neighbor)
                     order.append(neighbor)
-                    queue.append(neighbor)
-        if len(parent) != communication.number_of_nodes():
+                    up.append(head)
+                    depth_at.append(depth_at[head] + 1)
+            head += 1
+        if len(order) != len(adjacency):
             raise ShortcutError(
                 f"part {index}: G[P_i] + H_i is disconnected; cannot aggregate"
             )
-        children: dict[int, list[int]] = {node: [] for node in parent}
-        depth_of: dict[int, int] = {root: 0}
-        depth = 0
-        for node in order[1:]:
-            par = parent[node]
-            children[par].append(node)
-            depth_of[node] = depth_of[par] + 1
-            depth = max(depth, depth_of[node])
-        plans.append(_PartPlan(index, root, parent, children, depth))
+        down: list[list[int]] = [[] for _ in order]
+        for child in range(1, len(order)):
+            down[up[child]].append(child)
+        plans.append(_PartPlan(index, order, up, down, depth_at[-1]))
     return plans
 
 
@@ -189,14 +212,24 @@ def partwise_aggregate(
     plans = plan_routing_trees(graph, partition, shortcut)
 
     # Planned per-directed-edge load: each routing-tree edge carries exactly
-    # one convergecast packet (up) and one broadcast packet (down).
-    load: dict[tuple[int, int], int] = {}
+    # one convergecast packet (up) and one broadcast packet (down). Every
+    # directed edge a plan uses gets a link id here; ``up_link[part][i]``
+    # is the link from position ``i`` to its parent, ``down_link[part][i]``
+    # the link from its parent to it.
+    link_of: dict[tuple[int, int], int] = {}
+    up_link: list[list[int]] = []
+    down_link: list[list[int]] = []
+    load: Counter = Counter()
     for plan in plans:
-        for node, par in plan.parent.items():
-            if par is None:
-                continue
-            load[(node, par)] = load.get((node, par), 0) + 1
-            load[(par, node)] = load.get((par, node), 0) + 1
+        children = plan.order[1:]
+        parents = [plan.order[up] for up in plan.up[1:]]
+        ups = [link_of.setdefault(edge, len(link_of)) for edge in zip(children, parents)]
+        downs = [link_of.setdefault(edge, len(link_of)) for edge in zip(parents, children)]
+        load.update(ups)
+        load.update(downs)
+        up_link.append([-1, *ups])
+        down_link.append([-1, *downs])
+    link_edge = list(link_of)
     max_load = max(load.values(), default=0)
     max_depth = max((plan.depth for plan in plans), default=0)
 
@@ -213,109 +246,160 @@ def partwise_aggregate(
             # Loose only risks a later timeout, never wrong results.
             max_rounds *= max(1, links.worst_transit(2 * max_load))
 
-    # --- Per-part per-node execution state ---------------------------------
-    pending: list[dict[int, int]] = []  # children still to report, per node
-    accumulator: list[dict[int, object]] = []  # partial aggregates per node
-    for plan in plans:
-        pending.append({node: len(kids) for node, kids in plan.children.items()})
-        acc: dict[int, object] = {}
-        part_nodes = partition[plan.index]
-        for node in plan.parent:
-            acc[node] = values.get(node) if node in part_nodes else None
-        accumulator.append(acc)
-
-    queues: dict[tuple[int, int], deque] = {}
-
-    def enqueue(source: int, target: int, packet: tuple) -> None:
-        queues.setdefault((source, target), deque()).append(packet)
-
-    def merge(part: int, node: int, value: object) -> None:
-        current = accumulator[part][node]
-        if value is None:
-            return
-        accumulator[part][node] = value if current is None else combine(current, value)
-
-    # Seed the convergecast: nodes with no children fire at their delay.
-    start_schedule: dict[int, list[tuple[int, int]]] = {}
-    for plan in plans:
-        for node, kids in plan.children.items():
-            if not kids and plan.parent[node] is not None:
-                start_schedule.setdefault(delays[plan.index], []).append(
-                    (plan.index, node)
-                )
-
-    finished_nodes: list[int] = [0] * len(plans)  # broadcast receipts
+    # --- Per-part execution state, indexed by BFS position -----------------
+    # A packet is ``(up, part, position, value, bits)``: its direction, and
+    # where it is delivered. Its size is charged once, when it is made: an
+    # up packet's from its value, a down packet's from the part's broadcast
+    # value, sized once at the root.
+    pending: list[list[int]] = []  # children still to report
+    accumulator: list[list[object]] = []  # partial aggregates
+    header_bits: list[int] = []  # the packet's framing and part id
+    start_schedule: dict[int, list[tuple[int, int]]] = {}  # leaves per tick
     results: dict[int, object] = {}
     completion: dict[int, int] = {}
-    stats = RoundStats()
-
-    def finish_check(part: int, current_round: int) -> None:
-        plan = plans[part]
-        if finished_nodes[part] == len(plan.parent) and part not in completion:
-            completion[part] = current_round
-
-    # Parts whose routing tree is a single node complete at their delay.
     for plan in plans:
-        if len(plan.parent) == 1:
-            results[plan.index] = accumulator[plan.index][plan.root]
-            finished_nodes[plan.index] = 1
-            completion[plan.index] = delays[plan.index]
+        part = plan.index
+        part_nodes = partition[part]
+        accumulator.append(
+            [values.get(node) if node in part_nodes else None for node in plan.order]
+        )
+        pending.append([len(kids) for kids in plan.down])
+        if len(plan.order) == 1:
+            # Parts whose routing tree is a single node complete at their
+            # delay.
+            header_bits.append(0)
+            results[part] = accumulator[part][0]
+            completion[part] = delays[part]
+            continue
+        header_bits.append(2 + payload_bits(part))
+        # Seed the convergecast: nodes with no children fire at their delay.
+        leaves = [(part, i) for i, kids in enumerate(plan.down) if not kids]
+        start_schedule.setdefault(delays[part], []).extend(leaves)
+    finished_nodes = [0] * len(plans)  # broadcast receipts
 
-    in_flight: dict[int, list] = {}  # arrival tick -> [(edge, packet), ...]
+    def sized(part: int, value: object) -> int:
+        try:
+            return header_bits[part] + payload_bits(value)
+        except TypeError:
+            # Arbitrary python values (e.g. frozensets in tests): charge a
+            # conservative flat size.
+            return 64
+
+    # Per-edge FIFO queues. A directed edge gets a queue id when a packet
+    # first enters it, so ascending ids are first-use order. Each tick
+    # sends from the busy queues (the non-empty ones) in that order: the
+    # order a load-dependent link view prices sends in, packets arriving
+    # in one tick are handled in, and ``edge_messages`` keys follow.
+    queue_of = [-1] * len(link_edge)  # link id -> queue id
+    queues: list[deque] = []
+    queue_edge: list[tuple[int, int]] = []
+    queue_sent: list[int] = []
+    busy: list[int] = []  # queue ids that stayed non-empty after a send
+    woken: list[int] = []  # queue ids that became non-empty since
+
+    def enqueue(link: int, packet: tuple) -> None:
+        queue_id = queue_of[link]
+        if queue_id < 0:
+            queue_of[link] = len(queues)
+            woken.append(len(queues))
+            queues.append(deque((packet,)))
+            queue_edge.append(link_edge[link])
+            queue_sent.append(0)
+            return
+        queue = queues[queue_id]
+        if not queue:
+            woken.append(queue_id)
+        queue.append(packet)
+
+    messages = 0
+    message_bits = 0
+    messages_by_round: dict[int, int] = {}
+    in_flight: dict[int, list] = {}  # arrival tick -> [packet, ...]
+    num_parts = len(plans)
     current_round = 0
-    while len(completion) < len(plans) and current_round < max_rounds:
+    while len(completion) < num_parts and current_round < max_rounds:
         # Fire freshly-due convergecast leaves.
-        for part, node in start_schedule.get(current_round, ()):  # leaves
-            plan = plans[part]
-            enqueue(node, plan.parent[node], ("up", part, accumulator[part][node]))
+        for part, leaf in start_schedule.get(current_round, ()):
+            value = accumulator[part][leaf]
+            enqueue(
+                up_link[part][leaf],
+                (True, part, plans[part].up[leaf], value, sized(part, value)),
+            )
         current_round += 1
+        if woken:
+            busy += woken
+            busy.sort()
+            woken.clear()
         # One packet may *enter* each directed edge per tick (the CONGEST
         # capacity constraint); it is delivered after the edge's transit
         # time (one tick without a latency model — the lockstep behavior).
-        for edge, queue in queues.items():
-            if not queue:
-                continue
-            packet = queue.popleft()
-            # record_message also maintains the per-edge congestion counters,
-            # so aggregations report *measured* congestion alongside the
-            # planned max_edge_load.  Transmission happens during round
-            # ``current_round``; the send-round key convention of
-            # RoundStats.messages_by_round (sent in r, delivered in r+1,
-            # initial wave at 0) makes that ``current_round - 1``.
-            send_tick = current_round - 1
-            stats.record_message(edge[0], edge[1], _packet_bits(packet), send_tick)
-            # Shared delivery convention with the async scheduler backend
-            # (MessageFabric.deliver_timed): sent at tick t, delivered at
-            # t + transit; transit 1 == the lockstep r -> r+1 schedule. A
-            # load-dependent view needs sends in tick order: ticks are
-            # monotone across rounds, and queues iterate in deterministic
-            # insertion order within one.
-            arrive = send_tick + (
-                links.transit(edge[0], edge[1], send_tick) if links is not None else 1
-            )
-            in_flight.setdefault(arrive, []).append((edge, packet))
-        for (source, target), packet in in_flight.pop(current_round, ()):
-            kind, part, value = packet
+        # Transmission happens during round ``current_round``; the
+        # send-round key convention of RoundStats.messages_by_round (sent
+        # in r, delivered in r+1, initial wave at 0) makes that
+        # ``current_round - 1``.
+        send_tick = current_round - 1
+        if busy:
+            still_busy = []
+            for queue_id in busy:
+                queue = queues[queue_id]
+                packet = queue.popleft()
+                if queue:
+                    still_busy.append(queue_id)
+                queue_sent[queue_id] += 1
+                message_bits += packet[4]
+                # Shared delivery convention with the async scheduler
+                # backend (MessageFabric.deliver_timed): sent at tick t,
+                # delivered at t + transit; transit 1 == the lockstep
+                # r -> r+1 schedule. A load-dependent view needs sends in
+                # tick order: ticks are monotone across rounds, and queue
+                # ids ascend within one.
+                arrive = send_tick + (
+                    1 if links is None
+                    else links.transit(*queue_edge[queue_id], send_tick)
+                )
+                in_flight.setdefault(arrive, []).append(packet)
+            messages += len(busy)
+            messages_by_round[send_tick] = len(busy)
+            busy = still_busy
+        arrivals = in_flight.pop(current_round, ())
+        for up, part, at, value, bits in arrivals:
+            if up:
+                partial = accumulator[part]
+                if value is not None:
+                    current = partial[at]
+                    partial[at] = value if current is None else combine(current, value)
+                waiting = pending[part]
+                waiting[at] -= 1
+                if waiting[at]:
+                    continue
+                value = partial[at]
+                if at:
+                    enqueue(
+                        up_link[part][at],
+                        (True, part, plans[part].up[at], value, sized(part, value)),
+                    )
+                    continue
+                # Root has the aggregate; start the broadcast.
+                results[part] = value
+                bits = sized(part, value)
             plan = plans[part]
-            if kind == "up":
-                merge(part, target, value)
-                pending[part][target] -= 1
-                if pending[part][target] == 0:
-                    parent = plan.parent[target]
-                    if parent is None:
-                        # Root has the aggregate; start the broadcast.
-                        results[part] = accumulator[part][target]
-                        finished_nodes[part] += 1
-                        for child in plan.children[target]:
-                            enqueue(target, child, ("down", part, results[part]))
-                        finish_check(part, current_round)
-                    else:
-                        enqueue(target, parent, ("up", part, accumulator[part][target]))
-            else:  # down
-                finished_nodes[part] += 1
-                for child in plan.children[target]:
-                    enqueue(target, child, ("down", part, value))
-                finish_check(part, current_round)
+            finished_nodes[part] += 1
+            for child in plan.down[at]:
+                enqueue(down_link[part][child], (False, part, child, value, bits))
+            if finished_nodes[part] == len(plan.order):
+                completion[part] = current_round
+    stats = RoundStats(
+        messages=messages,
+        message_bits=message_bits,
+        messages_by_round=messages_by_round,
+        # First-send order is first-use order: a queue sends in the first
+        # tick after it was made. Queues never sent from are left out.
+        edge_messages={
+            queue_edge[queue_id]: sent
+            for queue_id, sent in enumerate(queue_sent)
+            if sent
+        },
+    )
     stats.rounds = max(completion.values(), default=0) if len(completion) == len(
         plans
     ) else current_round
@@ -352,13 +436,3 @@ def _make_delays(
         window = 2 * (max_depth + 1)
         return [i * window for i in range(num_parts)]
     raise ShortcutError(f"unknown delay_mode {delay_mode!r}")
-
-
-def _packet_bits(packet: tuple) -> int:
-    kind, part, value = packet
-    try:
-        return 2 + payload_bits(part) + payload_bits(value)
-    except TypeError:
-        # Arbitrary python values (e.g. frozensets in tests): charge a
-        # conservative flat size.
-        return 64
